@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .nn import Parameter, ParameterGroup
+
 __all__ = ["DivergenceError", "check_finite_update"]
 
 
@@ -44,22 +46,27 @@ def check_finite_update(
     algorithm: str,
     n_updates: int,
     losses: dict[str, float],
-    params: Iterable,
+    params: Iterable[Parameter],
 ) -> None:
     """Guard one optimizer step: raise on any non-finite loss/gradient.
 
     Called between the backward pass and ``optimizer.step()`` so a
     divergence never contaminates the optimizer state. ``params`` are
-    :class:`~repro.rl.nn.Parameter` objects whose ``.grad`` is checked.
+    :class:`~repro.rl.nn.Parameter` objects whose ``.grad`` is checked;
+    pass the optimizer's :class:`~repro.rl.nn.ParameterGroup` so the check
+    is one pass per run of back-to-back storage. The error names the first
+    parameter, in order, holding a non-finite gradient.
     """
     for name, value in losses.items():
         if not np.isfinite(value):
             raise DivergenceError(algorithm, n_updates, name, float(value))
-    for param in params:
-        grad = param.grad
-        if grad is not None and not np.all(np.isfinite(grad)):
-            bad = np.asarray(grad, dtype=float)
-            sample = bad[~np.isfinite(bad)].flat[0]
-            raise DivergenceError(
-                algorithm, n_updates, f"grad[{param.name}]", float(sample)
-            )
+    for run in ParameterGroup.of(params).runs:
+        finite = np.isfinite(run.grads)
+        if finite.all():
+            continue
+        first = int(np.argmin(finite))  # first non-finite element of the run
+        for param, (start, stop) in zip(run.params, run.bounds, strict=True):
+            if start <= first < stop:
+                raise DivergenceError(
+                    algorithm, n_updates, f"grad[{param.name}]", float(run.grads[first])
+                )

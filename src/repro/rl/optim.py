@@ -1,7 +1,11 @@
 """First-order optimizers operating on :class:`~repro.rl.nn.Parameter` lists.
 
 Updates are performed in place on ``Parameter.value`` so the networks keep
-their array references (no re-wiring after each step).
+their array references (no re-wiring after each step). The parameter list
+is held as a :class:`~repro.rl.nn.ParameterGroup`: each run of
+back-to-back storage (a whole MLP, or one stand-alone parameter) is
+updated with one set of element-wise ufuncs, which gives bit for bit the
+per-parameter result at a fraction of the Python overhead.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .nn import Parameter
+from .nn import Parameter, ParameterGroup
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
@@ -19,7 +23,7 @@ class Optimizer:
     """Base optimizer over a fixed parameter list."""
 
     def __init__(self, params: Iterable[Parameter], lr: float) -> None:
-        self.params = list(params)
+        self.params = ParameterGroup(params)
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
         if lr <= 0:
@@ -30,8 +34,7 @@ class Optimizer:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.params.zero_grad()
 
 
 class SGD(Optimizer):
@@ -44,16 +47,17 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
+        self._velocity = [np.zeros_like(run.values) for run in self.params.runs]
 
     def step(self) -> None:
-        for p, v in zip(self.params, self._velocity, strict=True):
+        for run, v in zip(self.params.runs, self._velocity, strict=True):
+            values = run.values
             if self.momentum:
                 v *= self.momentum
-                v += p.grad
-                p.value -= self.lr * v
+                v += run.grads
+                values -= self.lr * v
             else:
-                p.value -= self.lr * p.grad
+                values -= self.lr * run.grads
 
 
 class Adam(Optimizer):
@@ -72,8 +76,9 @@ class Adam(Optimizer):
             raise ValueError("betas must be in [0, 1)")
         self.beta1, self.beta2 = float(beta1), float(beta2)
         self.eps = float(eps)
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        #: first/second moments, one flat array per run of ``params``
+        self._m = [np.zeros_like(run.values) for run in self.params.runs]
+        self._v = [np.zeros_like(run.values) for run in self.params.runs]
         self._t = 0
 
     def step(self) -> None:
@@ -81,12 +86,15 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         step_size = self.lr * np.sqrt(bias2) / bias1
-        for p, m, v in zip(self.params, self._m, self._v, strict=True):
+        # element-wise, so one run at a time equals one parameter at a time
+        # as long as the operation order below is kept
+        for run, m, v in zip(self.params.runs, self._m, self._v, strict=True):
+            values, grads = run.values, run.grads
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            m += (1.0 - self.beta1) * grads
             v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.value -= step_size * m / (np.sqrt(v) + self.eps)
+            v += (1.0 - self.beta2) * (grads * grads)
+            values -= step_size * m / (np.sqrt(v) + self.eps)
 
     @property
     def t(self) -> int:

@@ -93,8 +93,10 @@ class PPOAgent(Agent):
         self.log_std = Parameter(
             "actor.log_std", np.full(act_dim, float(cfg.initial_log_std))
         )
-        self._params = self.actor.parameters() + [self.log_std] + self.critic.parameters()
-        self.optimizer = Adam(self._params, lr=cfg.learning_rate)
+        self.optimizer = Adam(
+            self.actor.parameters() + [self.log_std] + self.critic.parameters(),
+            lr=cfg.learning_rate,
+        )
         self._metrics: dict[str, Any] = {}
         #: cumulative gradient updates performed (for cost accounting)
         self.n_updates = 0
@@ -184,20 +186,18 @@ class PPOAgent(Agent):
 
         dvalues = cfg.vf_coef * (values - batch.returns)[:, None] / n
 
-        self.actor.zero_grad()
-        self.critic.zero_grad()
-        self.log_std.zero_grad()
-        self.actor.backward(dmean)
-        self.critic.backward(dvalues)
+        self.optimizer.zero_grad()
+        self.actor.backward(dmean, input_grad=False)
+        self.critic.backward(dvalues, input_grad=False)
         self.log_std.grad += dlog_std
 
         check_finite_update(
             "ppo",
             self.n_updates,
             {"policy_loss": float(policy_loss), "value_loss": float(value_loss)},
-            self._params,
+            self.optimizer.params,
         )
-        grad_norm = clip_grad_norm(self._params, cfg.max_grad_norm)
+        grad_norm = clip_grad_norm(self.optimizer.params, cfg.max_grad_norm)
         self.optimizer.step()
         self.n_updates += 1
 
@@ -277,8 +277,9 @@ class CategoricalPPOAgent(Agent):
             out_gain=1.0,
             name="critic",
         )
-        self._params = self.actor.parameters() + self.critic.parameters()
-        self.optimizer = Adam(self._params, lr=cfg.learning_rate)
+        self.optimizer = Adam(
+            self.actor.parameters() + self.critic.parameters(), lr=cfg.learning_rate
+        )
         self._metrics: dict[str, Any] = {}
         self.n_updates = 0
 
@@ -351,17 +352,16 @@ class CategoricalPPOAgent(Agent):
         dlogits += -cfg.ent_coef * dist.dentropy_dlogits() / n
         dvalues = cfg.vf_coef * (values - batch.returns)[:, None] / n
 
-        self.actor.zero_grad()
-        self.critic.zero_grad()
-        self.actor.backward(dlogits)
-        self.critic.backward(dvalues)
+        self.optimizer.zero_grad()
+        self.actor.backward(dlogits, input_grad=False)
+        self.critic.backward(dvalues, input_grad=False)
         check_finite_update(
             "ppo",
             self.n_updates,
             {"policy_loss": float(policy_loss), "value_loss": float(value_loss)},
-            self._params,
+            self.optimizer.params,
         )
-        grad_norm = clip_grad_norm(self._params, cfg.max_grad_norm)
+        grad_norm = clip_grad_norm(self.optimizer.params, cfg.max_grad_norm)
         self.optimizer.step()
         self.n_updates += 1
 

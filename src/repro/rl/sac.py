@@ -81,16 +81,17 @@ class _QNetwork:
         x = np.concatenate([obs, actions], axis=-1)
         return self.net.forward(x)[:, 0]
 
-    def backward(self, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backprop ``dL/dQ`` → returns ``(dL/dobs, dL/dactions)``."""
-        dinput = self.net.backward(np.asarray(dq).reshape(-1, 1))
-        return dinput[:, : self.obs_dim], dinput[:, self.obs_dim :]
+    def backward(self, dq: np.ndarray) -> None:
+        """Accumulate the parameter gradients of ``dL/dQ`` (critic loss)."""
+        self.net.backward(dq.reshape(-1, 1), input_grad=False)
+
+    def action_grad(self, dq: np.ndarray) -> np.ndarray:
+        """``dL/dactions`` for ``dL/dQ``; parameter gradients are not touched."""
+        dinput = self.net.backward(dq.reshape(-1, 1), param_grads=False)
+        return dinput[:, self.obs_dim :]
 
     def parameters(self):
         return self.net.parameters()
-
-    def zero_grad(self) -> None:
-        self.net.zero_grad()
 
 
 class SACAgent(Agent):
@@ -226,8 +227,7 @@ class SACAgent(Agent):
         q1 = self.q1.forward(obs, actions)
         q2 = self.q2.forward(obs, actions)
         q_loss = 0.5 * float(np.mean(w * (q1 - target) ** 2) + np.mean(w * (q2 - target) ** 2))
-        self.q1.zero_grad()
-        self.q2.zero_grad()
+        self.q_optimizer.zero_grad()
         self.q1.backward(w * (q1 - target) / n)
         self.q2.backward(w * (q2 - target) / n)
         check_finite_update(
@@ -252,21 +252,18 @@ class SACAgent(Agent):
         policy_loss = float(np.mean(self.alpha * logp - min_q_pi))
 
         # ∂L/∂a via the active Q head's input gradient (fresh forward passes
-        # above mean the caches are aligned).
+        # above mean the caches are aligned). The critics' parameter
+        # gradients are not needed here, so they are not computed.
         dq1 = np.where(use_q1, -1.0, 0.0) / n
         dq2 = np.where(use_q1, 0.0, -1.0) / n
-        self.q1.zero_grad()
-        self.q2.zero_grad()
-        _, da_q1 = self.q1.backward(dq1)
-        _, da_q2 = self.q2.backward(dq2)
-        dL_daction = da_q1 + da_q2
+        dL_daction = self.q1.action_grad(dq1) + self.q2.action_grad(dq2)
         dL_dlogp = np.full(n, self.alpha / n)
         dmean, dlog_std = dist.grads_wrt_params(sample, dL_daction, dL_dlogp)
         # the log_std head is clipped; zero gradients outside the active range
         active = (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)
         dlog_std = np.where(active, dlog_std, 0.0)
-        self.policy.zero_grad()
-        self.policy.backward(np.concatenate([dmean, dlog_std], axis=-1))
+        self.policy_optimizer.zero_grad()
+        self.policy.backward(np.concatenate([dmean, dlog_std], axis=-1), input_grad=False)
         check_finite_update(
             "sac",
             self.n_updates,

@@ -126,8 +126,10 @@ class VTraceAgent(Agent):
             name="critic",
         )
         self.log_std = Parameter("actor.log_std", np.full(act_dim, cfg.initial_log_std))
-        self._params = self.actor.parameters() + [self.log_std] + self.critic.parameters()
-        self.optimizer = Adam(self._params, lr=cfg.learning_rate)
+        self.optimizer = Adam(
+            self.actor.parameters() + [self.log_std] + self.critic.parameters(),
+            lr=cfg.learning_rate,
+        )
         self._metrics: dict[str, Any] = {}
         self.n_updates = 0
 
@@ -194,16 +196,14 @@ class VTraceAgent(Agent):
         dlog_std += -cfg.ent_coef * np.ones(self.act_dim)
         dvalues = cfg.vf_coef * (flat_values - flat_vs)[:, None] / n
 
-        self.actor.zero_grad()
-        self.critic.zero_grad()
-        self.log_std.zero_grad()
+        self.optimizer.zero_grad()
         # one combined backward per network (bootstrap critic pass was a
         # separate forward; re-run the flat forward so caches align)
         self.critic.forward(flat_obs)
-        self.actor.backward(dmean)
-        self.critic.backward(dvalues)
+        self.actor.backward(dmean, input_grad=False)
+        self.critic.backward(dvalues, input_grad=False)
         self.log_std.grad += dlog_std
-        grad_norm = clip_grad_norm(self._params, cfg.max_grad_norm)
+        grad_norm = clip_grad_norm(self.optimizer.params, cfg.max_grad_norm)
         self.optimizer.step()
         self.n_updates += 1
 

@@ -20,13 +20,17 @@ from repro.core import (
 from repro.envs import Box, Env, register
 from repro.frameworks import EnvStepError, TrainSpec, get_framework
 from repro.rl import (
+    MLP,
     DivergenceError,
+    Parameter,
     PPOAgent,
     RolloutBatch,
     SACAgent,
     SACConfig,
     Transition,
+    check_finite_update,
 )
+from repro.rl.nn import ParameterGroup
 
 
 class ExplodingEnv(Env):
@@ -173,6 +177,55 @@ class TestDivergenceGuards:
         assert excinfo.value.extras["algorithm"] == "sac"
         assert excinfo.value.extras["quantity"] == "q_loss"
         assert excinfo.value.extras["n_updates"] == 0
+
+    def test_sac_nan_hidden_pre_activation_raises(self):
+        # ReLU is np.maximum(x, 0): a NaN pre-activation propagates to Q and
+        # the loss, where np.where(x > 0, x, 0) used to zero it and train on
+        # with a NaN weight that never received a gradient
+        agent = SACAgent(2, 1, SACConfig(hidden_sizes=(16, 16)), seed=0)
+        agent.q1.net.parameters()[1].value[3] = np.nan
+        before = agent.q2.net.state_dict()
+        n = 8
+        rng = np.random.default_rng(0)
+        batch = Transition(
+            observations=rng.standard_normal((n, 2)),
+            actions=rng.uniform(-1.0, 1.0, (n, 1)),
+            rewards=rng.standard_normal(n),
+            next_observations=rng.standard_normal((n, 2)),
+            terminations=np.zeros(n),
+        )
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as excinfo:
+                agent._update_once(batch)
+        assert excinfo.value.extras["quantity"] == "q_loss"
+        after = agent.q2.net.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    @pytest.mark.parametrize("as_group", [False, True])
+    def test_gradient_check_names_first_non_finite_parameter(self, as_group):
+        rng = np.random.default_rng(0)
+        q1, q2 = MLP((3, 4, 1), rng, name="q1"), MLP((3, 4, 1), rng, name="q2")
+        alone = Parameter("log_alpha", np.zeros(1))
+        params = q1.parameters() + [alone] + q2.parameters()
+        q2.parameters()[3].grad[0] = np.inf
+        alone.grad[0] = np.nan
+        q1.parameters()[2].grad[1, 0] = -np.inf
+        with pytest.raises(DivergenceError) as excinfo:
+            check_finite_update(
+                "sac", 7, {"q_loss": 0.0}, ParameterGroup(params) if as_group else params
+            )
+        assert excinfo.value.extras["quantity"] == "grad[q1.1.w]"
+        assert excinfo.value.extras["value"] == "-inf"
+        q1.zero_grad()
+        with pytest.raises(DivergenceError) as excinfo:
+            check_finite_update("sac", 7, {"q_loss": 0.0}, params)
+        assert excinfo.value.extras["quantity"] == "grad[log_alpha]"
+        alone.zero_grad()
+        with pytest.raises(DivergenceError) as excinfo:
+            check_finite_update("sac", 7, {"q_loss": 0.0}, params)
+        assert excinfo.value.extras["quantity"] == "grad[q2.1.b]"
+        q2.zero_grad()
+        check_finite_update("sac", 7, {"q_loss": 0.0}, params)
 
 
 class TestCampaignQuarantinesFailures:

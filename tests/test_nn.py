@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rl import MLP, Dense, Parameter, ReLU, Tanh, clip_grad_norm, orthogonal_init
-from repro.rl.nn import global_grad_norm
+from repro.rl.nn import ParameterGroup, global_grad_norm
 
 
 def numeric_grad(fn, array, eps=1e-6):
@@ -222,3 +222,105 @@ class TestGradClipping:
         clip_grad_norm(net.parameters(), max_norm=10.0)
         for p, b in zip(net.parameters(), before):
             assert np.allclose(p.grad, b)
+
+
+def _assert_aliased(net: MLP) -> None:
+    """Every parameter is still a view into the network's flat buffers."""
+    params = net.parameters()
+    for p in params:
+        assert p.value.base is net._values, p.name
+        assert p.grad.base is net._grads, p.name
+    assert np.array_equal(net._values, np.concatenate([p.value.ravel() for p in params]))
+    assert np.array_equal(net._grads, np.concatenate([p.grad.ravel() for p in params]))
+
+
+class TestFlatStorage:
+    def test_parameters_are_views_of_one_buffer(self, rng):
+        net = MLP((3, 8, 2), rng)
+        _assert_aliased(net)
+        assert net._values.size == net.n_parameters()
+        net.parameters()[0].value[0, 0] = 42.0
+        assert net._values[0] == 42.0
+
+    def test_views_survive_state_load_copy_polyak_and_adam(self, rng):
+        from repro.rl import Adam
+
+        a = MLP((3, 8, 2), rng, activation="relu")
+        b = MLP((3, 8, 2), np.random.default_rng(1), activation="relu")
+        b.load_state_dict(MLP((3, 8, 2), np.random.default_rng(2)).state_dict())
+        _assert_aliased(b)
+        b.copy_from(a)
+        _assert_aliased(b)
+        b.polyak_from(a, tau=0.3)
+        _assert_aliased(b)
+        opt = Adam(b.parameters(), lr=1e-2)
+        x = rng.standard_normal((4, 3))
+        for _ in range(3):
+            b.zero_grad()
+            b.backward(b.forward(x))
+            opt.step()
+        _assert_aliased(b)
+        assert not np.array_equal(a._values, b._values)
+
+    def test_group_runs_follow_storage(self, rng):
+        q1, q2 = MLP((3, 8, 1), rng), MLP((3, 8, 1), rng)
+        alone = Parameter("log_alpha", np.zeros(1))
+        group = ParameterGroup(q1.parameters() + [alone] + q2.parameters())
+        assert [len(run.params) for run in group.runs] == [4, 1, 4]
+        assert np.shares_memory(group.runs[0].values, q1._values)
+        assert group.runs[0].values.size == q1.n_parameters()
+        assert np.shares_memory(group.runs[1].values, alone.value)
+        group.runs[2].grads[...] = 1.0
+        assert all(np.all(p.grad == 1.0) for p in q2.parameters())
+        group.zero_grad()
+        assert not q2._grads.any()
+
+    def test_group_splits_out_of_order_parameters(self, rng):
+        net = MLP((3, 8, 2), rng)
+        params = net.parameters()
+        group = ParameterGroup([params[2], params[0], params[1], params[3]])
+        assert [len(run.params) for run in group.runs] == [1, 2, 1]
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_gradient_skipping_backward_matches_full(self, rng, activation):
+        net = MLP((4, 16, 16, 3), rng, activation=activation)
+        x = rng.standard_normal((9, 4))
+        dout = rng.standard_normal((9, 3))
+        net.forward(x)
+        net.zero_grad()
+        full_input = net.backward(dout)
+        full_params = net._grads.copy()
+
+        net.zero_grad()
+        assert net.backward(dout, input_grad=False) is None
+        assert np.array_equal(net._grads, full_params)
+
+        net.zero_grad()
+        assert np.array_equal(net.backward(dout, param_grads=False), full_input)
+        assert not net._grads.any()
+
+    def test_grad_norm_keeps_per_parameter_sums(self, rng):
+        nets = [MLP((5, 64, 64, 2), rng), MLP((5, 64, 64, 1), rng)]
+        alone = Parameter("log_std", np.zeros(2))
+        params = nets[0].parameters() + [alone] + nets[1].parameters()
+        for p in params:
+            p.grad[...] = rng.standard_normal(p.shape) * 1e3
+        reference = 0.0
+        for p in params:
+            reference += float(np.sum(p.grad * p.grad))
+        assert global_grad_norm(ParameterGroup(params)) == float(np.sqrt(reference))
+
+
+class TestReLU:
+    def test_bit_equal_to_where_for_finite_inputs(self, rng):
+        x = rng.standard_normal((128, 64))
+        x[::7, ::3] = 0.0
+        x[::5, ::4] = -0.0
+        y = ReLU().forward(x)
+        assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
+    def test_nan_pre_activation_propagates(self):
+        layer = ReLU()
+        y = layer.forward(np.array([[np.nan, -1.0, 2.0]]))
+        assert np.isnan(y[0, 0]) and y[0, 1] == 0.0 and y[0, 2] == 2.0
+        assert np.array_equal(layer.backward(np.ones((1, 3))), [[0.0, 0.0, 1.0]])

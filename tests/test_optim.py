@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rl import SGD, Adam, Parameter
+from repro.rl import MLP, SGD, Adam, Parameter
 
 
 def quadratic_param(start=5.0):
@@ -116,3 +116,59 @@ class TestAdam:
             grad()
             opt.step()
         assert loss() < start * 0.01
+
+
+class TestFlatRunsMatchPerParameterReference:
+    """One ufunc set per storage run gives the per-parameter result bit for bit."""
+
+    @staticmethod
+    def _params(seed: int) -> list[Parameter]:
+        rng = np.random.default_rng(seed)
+        q1 = MLP((9, 64, 64, 1), rng, activation="relu", name="q1")
+        q2 = MLP((9, 64, 64, 1), rng, activation="relu", name="q2")
+        return q1.parameters() + q2.parameters() + [Parameter("log_alpha", np.array([-1.6]))]
+
+    @staticmethod
+    def _set_grads(params: list[Parameter], rng: np.random.Generator) -> None:
+        for p in params:
+            p.grad[...] = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+
+    def test_adam(self):
+        params, ref_params = self._params(0), self._params(0)
+        opt = Adam(params, lr=3e-4)
+        assert len(opt.params.runs) == 3
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        m = [np.zeros_like(p.value) for p in ref_params]
+        v = [np.zeros_like(p.value) for p in ref_params]
+        grad_rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for t in range(1, 6):
+            self._set_grads(params, grad_rng)
+            self._set_grads(ref_params, ref_rng)
+            opt.step()
+            step_size = 3e-4 * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+            for p, mi, vi in zip(ref_params, m, v):
+                mi *= beta1
+                mi += (1.0 - beta1) * p.grad
+                vi *= beta2
+                vi += (1.0 - beta2) * (p.grad * p.grad)
+                p.value -= step_size * mi / (np.sqrt(vi) + eps)
+        for p, ref in zip(params, ref_params):
+            assert p.value.tobytes() == ref.value.tobytes(), p.name
+        assert np.concatenate(opt._m).tobytes() == np.concatenate([x.ravel() for x in m]).tobytes()
+        assert np.concatenate(opt._v).tobytes() == np.concatenate([x.ravel() for x in v]).tobytes()
+
+    def test_sgd_momentum(self):
+        params, ref_params = self._params(2), self._params(2)
+        opt = SGD(params, lr=1e-2, momentum=0.9)
+        velocity = [np.zeros_like(p.value) for p in ref_params]
+        grad_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(5):
+            self._set_grads(params, grad_rng)
+            self._set_grads(ref_params, ref_rng)
+            opt.step()
+            for p, vel in zip(ref_params, velocity):
+                vel *= 0.9
+                vel += p.grad
+                p.value -= 1e-2 * vel
+        for p, ref in zip(params, ref_params):
+            assert p.value.tobytes() == ref.value.tobytes(), p.name
