@@ -24,8 +24,11 @@ Row ``i`` of a batched step is **bit-identical** to stepping a serial
 * touchdown interpolation / landing scores are evaluated per landed env
   with the identical scalar code.
 
-This is what lets the frameworks assert that a vectorized training run
-at ``n_envs=1`` reproduces the single-env path byte for byte.
+This is why the frameworks can run every trial through ``make_vec``: a
+training run at ``n_envs=1`` keeps the historical single-env results
+byte for byte (pinned by ``tests/test_train_golden.py``), and
+``AirdropEnv`` stays the scalar reference ``tests/test_vector_airdrop.py``
+compares against.
 """
 
 from __future__ import annotations

@@ -26,11 +26,19 @@ from typing import Any, Callable
 import numpy as np
 
 from ..cluster import ClusterSimulator
-from ..envs import make
+from ..envs import make_vec
 from ..faults import RecoveryPolicy, ReDispatchRecovery
 from ..obs import Telemetry
 from ..rl.vtrace import VTraceAgent, VTraceConfig
-from .base import EnvStepError, Framework, TrainResult, TrainSpec, WorkerLayout, _Worker
+from .base import (
+    EnvStepError,
+    Framework,
+    TrainResult,
+    TrainSpec,
+    WorkerLayout,
+    _space_action_mapper,
+    _vec_rhs_evals,
+)
 from .costmodel import FrameworkCostProfile
 
 __all__ = ["ImpalaLike"]
@@ -105,17 +113,20 @@ class ImpalaLike(Framework):
         callback: Callable[[int, float], bool] | None = None,
         telemetry: Telemetry | None = None,
     ) -> TrainResult:
+        """V-trace actor-learner loop: one env slot per worker.
+
+        All workers step through one vector env of width ``n_workers``
+        (slot ``i`` seeded like worker ``i``); ``spec.n_envs`` is ignored.
+        """
         layout = self.layout(spec)
         groups = layout.groups()
         n_workers = layout.n_workers
-        workers = [
-            _Worker(make(spec.env_id, **spec.env_kwargs), seed=self._seed(spec, f"env{i}"))
-            for i in range(n_workers)
-        ]
-        probe = workers[0].env
-        obs_dim = int(np.prod(probe.observation_space.shape))
-        act_dim = int(np.prod(probe.action_space.shape))
-        n_stages = getattr(probe.unwrapped, "rhs_evals_per_step", 6)
+        venv = make_vec(spec.env_id, n_workers, **spec.env_kwargs)
+        obs_batch, _ = venv.reset(seed=[self._seed(spec, f"env{i}") for i in range(n_workers)])
+        obs_dim = int(np.prod(venv.single_observation_space.shape))
+        act_dim = int(np.prod(venv.single_action_space.shape))
+        n_stages = _vec_rhs_evals(venv)
+        map_action = _space_action_mapper(venv.single_action_space)
 
         from ..rl import PPOConfig
 
@@ -153,26 +164,25 @@ class ImpalaLike(Framework):
             term_buf = np.zeros((T, N))
             logp_buf = np.zeros((T, N))
             for t in range(T):
-                obs_batch = np.stack([w.obs for w in workers])
                 out = agent.act(obs_batch)
                 obs_buf[t] = obs_batch
                 act_buf[t] = out["action"]
                 logp_buf[t] = out["log_prob"]
-                for i, w in enumerate(workers):
-                    try:
-                        o, r, term, trunc, info = w.step(out["action"][i])
-                    except Exception as exc:
-                        raise EnvStepError(steps_done + t * n_workers + i, exc) from exc
-                    rew_buf[t, i] = r
-                    term_buf[t, i] = float(term or trunc)
-                    if term or trunc:
-                        landings.append(w.episode_score(info))
-                        o, _ = w.env.reset()
-                    w.obs = o
-            bootstrap_obs = np.stack([w.obs for w in workers])
+                try:
+                    obs_batch, rewards, terms, truncs, infos = venv.step(
+                        map_action(out["action"])
+                    )
+                except Exception as exc:
+                    raise EnvStepError(steps_done + t * N, exc) from exc
+                rew_buf[t] = rewards
+                done = terms | truncs
+                term_buf[t] = done
+                for i in np.flatnonzero(done):
+                    info = infos[i]
+                    landings.append(float(info.get("landing_score", info["episode"]["r"])))
 
             agent.load_policy_state(current_state)
-            agent.update(obs_buf, act_buf, rew_buf, term_buf, logp_buf, bootstrap_obs)
+            agent.update(obs_buf, act_buf, rew_buf, term_buf, logp_buf, obs_batch)
             snapshots.append(agent.policy_state())
             snapshots.pop(0)
             steps_done += T * N

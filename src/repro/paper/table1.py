@@ -152,8 +152,8 @@ class AirdropCaseStudy:
     #: deterministic fault plan injected into every trial's virtual run
     #: (None or an empty plan leaves the fault-free path untouched)
     fault_plan: FaultPlan | None = None
-    #: episodes stepped per env call by each rollout worker (1 keeps the
-    #: historical byte-identical single-env path)
+    #: episodes stepped per env call by each rollout worker (1 gives the
+    #: historical single-env results, pinned by golden digests)
     n_envs: int = 1
 
     def __post_init__(self) -> None:
@@ -177,9 +177,9 @@ class AirdropCaseStudy:
         Campaigns fold this into the content address of each trial
         (:class:`~repro.exec.TrialCache`), so two studies differing in
         scale, env parameters or cluster shape never share entries.
-        ``n_envs`` participates because the vectorized path is
-        bit-identical only at ``n_envs=1`` — results at different widths
-        are distinct measurements.
+        ``n_envs`` participates because it changes how episodes interleave
+        during training — results at different widths are distinct
+        measurements.
         """
         return {
             "case_study": type(self).__name__,

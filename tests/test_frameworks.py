@@ -76,6 +76,8 @@ class TestValidation:
             TrainSpec(n_nodes=0)
         with pytest.raises(ValueError):
             TrainSpec(total_steps=0)
+        with pytest.raises(ValueError):
+            TrainSpec(eval_episodes=0)
 
 
 class TestLayouts:
@@ -229,36 +231,36 @@ class TestGenericEnvironments:
 
     def test_action_mapper_scales_to_env_bounds(self):
         from repro.envs import Box, Env
-        from repro.frameworks.base import _action_mapper
+        from repro.frameworks.base import _space_action_mapper
 
         class TorqueEnv(Env):
             def __init__(self):
                 self.observation_space = Box(-1, 1, shape=(1,))
                 self.action_space = Box(-2.0, 2.0, shape=(1,))
 
-        mapper = _action_mapper(TorqueEnv())
+        mapper = _space_action_mapper(TorqueEnv().action_space)
         assert np.allclose(mapper(np.array([1.0])), [2.0])
         assert np.allclose(mapper(np.array([-1.0])), [-2.0])
         assert np.allclose(mapper(np.array([0.0])), [0.0])
         assert np.allclose(mapper(np.array([5.0])), [2.0])  # clipped first
 
     def test_action_mapper_identity_on_unit_box(self):
-        from repro.frameworks.base import _action_mapper
+        from repro.frameworks.base import _space_action_mapper
 
         import repro.airdrop
         from repro.envs import make as make_env
 
-        mapper = _action_mapper(make_env("Airdrop-v0"))
+        mapper = _space_action_mapper(make_env("Airdrop-v0").action_space)
         assert np.allclose(mapper(np.array([0.37])), [0.37])
 
     def test_action_mapper_unbounded_passthrough(self):
         from repro.envs import Box, Env
-        from repro.frameworks.base import _action_mapper
+        from repro.frameworks.base import _space_action_mapper
 
         class FreeEnv(Env):
             def __init__(self):
                 self.observation_space = Box(-1, 1, shape=(1,))
                 self.action_space = Box(-np.inf, np.inf, shape=(2,))
 
-        mapper = _action_mapper(FreeEnv())
+        mapper = _space_action_mapper(FreeEnv().action_space)
         assert np.allclose(mapper(np.array([0.5, -0.25])), [0.5, -0.25])

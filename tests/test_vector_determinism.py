@@ -1,19 +1,12 @@
 """Determinism matrix for the vectorized rollout path and the trial cache.
 
-Two guarantees hold the whole performance story together:
-
-* ``n_envs=1`` with ``vectorize=True`` is **byte-identical** to the
-  historical single-env training path — same rewards, same virtual
-  times, same learning curves — so vectorization is opt-in purely for
-  speed;
-* at ``n_envs>1`` a campaign's table fingerprint is a pure function of
-  its seed: stable across the serial/thread/process executors and
-  across cache-cold vs cache-warm runs.
+At ``n_envs>1`` a campaign's table fingerprint is a pure function of its
+seed: stable across the serial/thread/process executors and across
+cache-cold vs cache-warm runs. (``n_envs=1`` results are pinned to the
+historical single-env numbers by ``tests/test_train_golden.py``.)
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core import RandomSearch
 from repro.core.serialization import table_fingerprint
@@ -24,10 +17,9 @@ from repro.paper import Scale, airdrop_parameter_space, table1_campaign
 STEPS = 900
 
 
-def _spec(algorithm: str, n_nodes: int = 1, **overrides) -> TrainSpec:
+def _spec(algorithm: str, **overrides) -> TrainSpec:
     return TrainSpec(
         algorithm=algorithm,
-        n_nodes=n_nodes,
         cores_per_node=2,
         seed=3,
         total_steps=STEPS,
@@ -43,16 +35,6 @@ def _assert_results_equal(a, b) -> None:
     assert a.energy_kj == b.energy_kj
     assert a.learning_curve == b.learning_curve
     assert a.diagnostics == b.diagnostics
-
-
-@pytest.mark.parametrize("framework", ["rllib", "stable", "tfagents"])
-@pytest.mark.parametrize("algorithm", ["ppo", "sac"])
-def test_vectorized_n_envs_1_is_byte_identical_to_serial(framework, algorithm):
-    fw = get_framework(framework)
-    n_nodes = 2 if fw.supports_multi_node and algorithm == "ppo" else 1
-    serial = fw.train(_spec(algorithm, n_nodes=n_nodes))
-    vectorized = fw.train(_spec(algorithm, n_nodes=n_nodes, n_envs=1, vectorize=True))
-    _assert_results_equal(serial, vectorized)
 
 
 def test_vectorized_width_is_seed_deterministic():
