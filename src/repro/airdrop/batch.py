@@ -204,7 +204,8 @@ class AirdropVectorEnv:
                 crossed |= newly
                 if crossed.all():
                     break
-        self._episode_rhs_evals += self.rhs_evals_per_step
+        rhs_evals = self.rhs_evals_per_step
+        self._episode_rhs_evals += rhs_evals
 
         y_eff = np.where(crossed[:, None], landed_y, y)
         finite = np.isfinite(y_eff).all(axis=1)
@@ -215,7 +216,7 @@ class AirdropVectorEnv:
         terms = np.zeros(n, dtype=bool)
         truncs = np.zeros(n, dtype=bool)
         infos: list[dict] = [
-            {"rhs_evals": self.rhs_evals_per_step, "wind": winds[i].copy()}
+            {"rhs_evals": rhs_evals, "wind": winds[i].copy()}
             for i in range(n)
         ]
 

@@ -847,31 +847,31 @@ class Framework:
         """Deterministic post-training evaluation (``eval_reward``).
 
         All ``eval_episodes`` episodes run as one vector env (episode
-        ``e`` seeded ``1_000_000 + e``). Actions are computed per env with
-        a ``(1, obs_dim)`` act shape — deterministic acting draws no
-        randomness, so per-row calls are order-free and each episode's
-        result does not depend on how many run beside it — while the
-        expensive physics step is batched across all episodes.
+        ``e`` seeded ``1_000_000 + e``). Each vector step makes one
+        deterministic ``agent.act`` call on the rows still running.
+        Deterministic acting is row-wise (see :meth:`Agent.act`), so each
+        episode's result does not depend on how many run beside it or
+        how many have finished. An episode scores its ``landing_score``,
+        or its return where the env reports none.
         """
         venv = make_vec(spec.env_id, spec.eval_episodes, **spec.env_kwargs)
-        map_action = _space_action_mapper(venv.single_action_space)
-        act_dim = int(np.prod(venv.single_action_space.shape))
+        space = venv.single_action_space
+        map_action = _space_action_mapper(space)
         n = spec.eval_episodes
         obs, _ = venv.reset(seed=[1_000_000 + episode for episode in range(n)])
-        finished = np.zeros(n, dtype=bool)
-        scores: list[float | None] = [None] * n
-        returns = [0.0] * n
-        actions = np.zeros((n, act_dim))
-        while not finished.all():
-            for i in np.flatnonzero(~finished):
-                actions[i] = agent.act(obs[i][None], deterministic=True)["action"][0]
+        live = np.ones(n, dtype=bool)
+        returns = np.zeros(n)
+        scores = np.zeros(n)
+        scored = np.zeros(n, dtype=bool)
+        actions = np.zeros((n, *space.shape))
+        while live.any():
+            rows = np.flatnonzero(live)
+            actions[rows] = agent.act(obs[rows], deterministic=True)["action"]
             obs, rewards, terms, truncs, infos = venv.step(map_action(actions))
-            for i in np.flatnonzero(~finished):
-                returns[i] += float(rewards[i])
+            returns[rows] += rewards[rows]
+            for i in rows:
                 if "landing_score" in infos[i]:
                     scores[i] = infos[i]["landing_score"]
-                if terms[i] or truncs[i]:
-                    finished[i] = True
-        return float(
-            np.mean([s if s is not None else returns[i] for i, s in enumerate(scores)])
-        )
+                    scored[i] = True
+            live[rows] = ~(terms[rows] | truncs[rows])
+        return float(np.mean(np.where(scored, scores, returns)))

@@ -32,8 +32,15 @@ class Agent:
     ) -> dict[str, np.ndarray]:
         """Select actions for a batch of observations.
 
-        Returns a dict with at least ``'action'``; on-policy agents also
-        return ``'log_prob'`` and ``'value'``.
+        Stochastic acting returns a dict with at least ``'action'``;
+        on-policy agents also return ``'log_prob'`` and ``'value'``.
+
+        Deterministic acting returns only ``'action'`` and is row-wise:
+        row ``i`` of a batch is bit-identical to acting on ``obs[i:i+1]``
+        alone, whatever the batch size. The policy MLP runs on
+        ``obs[:, None, :]``, so numpy's stacked matmul makes the same
+        ``(1, k) @ (k, m)`` BLAS call per row that a one-row batch makes;
+        a flat ``(n, k) @ (k, m)`` would round differently.
         """
         raise NotImplementedError
 

@@ -106,9 +106,12 @@ class PPOAgent(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+        if deterministic:
+            # the Gaussian mode is the actor mean; row-wise, see Agent.act
+            return {"action": self.actor.forward(observations[:, None, :])[:, 0]}
         mean = self.actor.forward(observations)
         dist = DiagGaussian(mean, self.log_std.value)
-        actions = dist.mode() if deterministic else dist.sample(self.rng)
+        actions = dist.sample(self.rng)
         values = self.critic.forward(observations)[:, 0]
         return {
             "action": actions,
@@ -288,8 +291,12 @@ class CategoricalPPOAgent(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+        if deterministic:
+            # row-wise logits, see Agent.act
+            logits = self.actor.forward(observations[:, None, :])[:, 0]
+            return {"action": Categorical(logits).mode()}
         dist = Categorical(self.actor.forward(observations))
-        actions = dist.mode() if deterministic else dist.sample(self.rng)
+        actions = dist.sample(self.rng)
         return {
             "action": actions,
             "log_prob": dist.log_prob(actions),

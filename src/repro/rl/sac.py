@@ -164,14 +164,15 @@ class SACAgent(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        if self.total_env_steps < self.config.learning_starts and not deterministic:
+        if deterministic:
+            # the tanh-Gaussian mode is tanh(mean); row-wise, see Agent.act
+            out = self.policy.forward(observations[:, None, :])[:, 0]
+            return {"action": np.tanh(out[:, : self.act_dim])}
+        if self.total_env_steps < self.config.learning_starts:
             # uniform warmup, the framework-default exploration phase
             actions = self.rng.uniform(-1.0, 1.0, size=(len(observations), self.act_dim))
             return {"action": actions}
-        dist = self._policy_dist(observations)
-        if deterministic:
-            return {"action": dist.mode()}
-        return {"action": dist.rsample(self.rng)["action"]}
+        return {"action": self._policy_dist(observations).rsample(self.rng)["action"]}
 
     # ------------------------------------------------------------ training
     def observe(

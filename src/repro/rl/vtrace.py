@@ -138,8 +138,11 @@ class VTraceAgent(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+        if deterministic:
+            # the Gaussian mode is the actor mean; row-wise, see Agent.act
+            return {"action": self.actor.forward(observations[:, None, :])[:, 0]}
         dist = DiagGaussian(self.actor.forward(observations), self.log_std.value)
-        actions = dist.mode() if deterministic else dist.sample(self.rng)
+        actions = dist.sample(self.rng)
         return {
             "action": actions,
             "log_prob": dist.log_prob(actions),

@@ -9,6 +9,7 @@ import repro.classic  # noqa: F401  (registers CartPole-v0 / Pendulum-v0)
 from repro.classic import CartPoleEnv, PendulumEnv
 from repro.envs import SyncVectorEnv, make
 from repro.rl import CategoricalPPOAgent, PPOConfig
+from repro.rl import ppo as ppo_module
 
 
 class TestCartPole:
@@ -143,6 +144,38 @@ class TestCategoricalPPO:
         a = agent.act(np.ones((1, 4)), deterministic=True)["action"]
         b = agent.act(np.ones((1, 4)), deterministic=True)["action"]
         assert a == b
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 30])
+    def test_deterministic_row_equals_single_row(self, n, monkeypatch):
+        """Deterministic acting is row-wise, logits included.
+
+        The argmax hides rounding, so the logits behind each action are
+        recorded too: a flat ``(n, k) @ W`` would change their bits.
+        """
+        logits: list[np.ndarray] = []
+
+        class RecordingCategorical(ppo_module.Categorical):
+            def __init__(self, values):
+                logits.append(np.array(values))
+                super().__init__(values)
+
+        monkeypatch.setattr(ppo_module, "Categorical", RecordingCategorical)
+        agent = CategoricalPPOAgent(4, 3, seed=n)
+        obs = 3.0 * np.random.default_rng(n).standard_normal((n, 4))
+        out = agent.act(obs, deterministic=True)
+        assert set(out) == {"action"}
+        assert out["action"].shape == (n,)
+        for i in range(n):
+            single = agent.act(obs[i : i + 1], deterministic=True)["action"]
+            assert np.array_equal(out["action"][i], single[0])
+            assert np.array_equal(logits[0][i], logits[1 + i][0])
+
+    def test_deterministic_1d_observation_is_one_row(self):
+        agent = CategoricalPPOAgent(4, 2, seed=0)
+        obs = np.random.default_rng(0).standard_normal(4)
+        action = agent.act(obs, deterministic=True)["action"]
+        assert action.shape == (1,)
+        assert np.array_equal(action, agent.act(obs[None], deterministic=True)["action"])
 
     def test_policy_state_roundtrip(self):
         a = CategoricalPPOAgent(4, 2, seed=0)

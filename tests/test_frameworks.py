@@ -264,3 +264,92 @@ class TestGenericEnvironments:
 
         mapper = _space_action_mapper(FreeEnv().action_space)
         assert np.allclose(mapper(np.array([0.5, -0.25])), [0.5, -0.25])
+
+
+def _per_row_evaluate(spec: TrainSpec, agent) -> float:
+    """Oracle: the evaluation loop that acted one ``(1, obs_dim)`` row at a time.
+
+    Its action buffer takes the action space's shape, so a discrete
+    space gets one scalar action per env.
+    """
+    from repro.envs import make_vec
+    from repro.frameworks.base import _space_action_mapper
+
+    venv = make_vec(spec.env_id, spec.eval_episodes, **spec.env_kwargs)
+    map_action = _space_action_mapper(venv.single_action_space)
+    n = spec.eval_episodes
+    obs, _ = venv.reset(seed=[1_000_000 + episode for episode in range(n)])
+    finished = np.zeros(n, dtype=bool)
+    scores: list[float | None] = [None] * n
+    returns = [0.0] * n
+    actions = np.zeros((n, *venv.single_action_space.shape))
+    while not finished.all():
+        for i in np.flatnonzero(~finished):
+            actions[i] = agent.act(obs[i][None], deterministic=True)["action"][0]
+        obs, rewards, terms, truncs, infos = venv.step(map_action(actions))
+        for i in np.flatnonzero(~finished):
+            returns[i] += float(rewards[i])
+            if "landing_score" in infos[i]:
+                scores[i] = infos[i]["landing_score"]
+            if terms[i] or truncs[i]:
+                finished[i] = True
+    return float(
+        np.mean([s if s is not None else returns[i] for i, s in enumerate(scores)])
+    )
+
+
+class TestEvaluation:
+    """``_evaluate``: one policy call per vector step, per-row results."""
+
+    @staticmethod
+    def _agent(kind: str):
+        from repro.airdrop import OBS_DIM
+        from repro.rl import CategoricalPPOAgent, PPOAgent, SACAgent
+
+        if kind == "airdrop-ppo":
+            return TrainSpec(algorithm="ppo"), PPOAgent(OBS_DIM, 1, seed=5)
+        if kind == "airdrop-sac":
+            return TrainSpec(algorithm="sac"), SACAgent(OBS_DIM, 1, seed=5)
+        import repro.classic  # noqa: F401  (registers CartPole-v0)
+
+        spec = TrainSpec(algorithm="ppo", env_id="CartPole-v0", eval_episodes=12)
+        return spec, CategoricalPPOAgent(4, 2, seed=5)
+
+    @pytest.mark.parametrize("kind", ["airdrop-ppo", "airdrop-sac", "cartpole-ppo"])
+    def test_one_act_call_per_step_and_per_row_results(self, kind, monkeypatch):
+        import repro.frameworks.base as base
+
+        spec, agent = self._agent(kind)
+        expected = _per_row_evaluate(spec, agent)
+
+        batch_sizes: list[int] = []
+        steps = [0]
+        act = agent.act
+        make_vec = base.make_vec
+
+        def counting_act(observations, deterministic=False):
+            assert deterministic
+            batch_sizes.append(len(observations))
+            return act(observations, deterministic)
+
+        def counting_make_vec(*args, **kwargs):
+            venv = make_vec(*args, **kwargs)
+            step = venv.step
+
+            def counting_step(actions):
+                steps[0] += 1
+                return step(actions)
+
+            venv.step = counting_step
+            return venv
+
+        monkeypatch.setattr(agent, "act", counting_act)
+        monkeypatch.setattr(base, "make_vec", counting_make_vec)
+        result = get_framework("stable")._evaluate(spec, agent)
+
+        assert result == expected
+        assert len(batch_sizes) == steps[0]
+        # every call acts on the rows still running, and rows do finish early
+        assert batch_sizes[0] == spec.eval_episodes
+        assert batch_sizes == sorted(batch_sizes, reverse=True)
+        assert len(set(batch_sizes)) > 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.airdrop import OBS_DIM
 from repro.rl import SACAgent, SACConfig
 
 
@@ -49,6 +50,32 @@ class TestActing:
         a1 = agent.act(obs, deterministic=True)["action"]
         a2 = agent.act(obs, deterministic=True)["action"]
         assert np.allclose(a1, a2)
+
+
+class TestDeterministicRowInvariance:
+    """Deterministic acting is row-wise, whatever the batch size.
+
+    A flat ``(n, k) @ W`` rounds differently from the one-row product, so
+    these bitwise checks fail if the stacked matmul is dropped.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 30])
+    def test_batch_row_equals_single_row(self, n):
+        agent = SACAgent(OBS_DIM, 1, seed=n)
+        obs = 3.0 * np.random.default_rng(n).standard_normal((n, OBS_DIM))
+        out = agent.act(obs, deterministic=True)
+        assert set(out) == {"action"}
+        assert out["action"].shape == (n, 1)
+        for i in range(n):
+            single = agent.act(obs[i : i + 1], deterministic=True)["action"]
+            assert np.array_equal(out["action"][i], single[0])
+
+    def test_1d_observation_is_one_row(self):
+        agent = SACAgent(OBS_DIM, 2, seed=0)
+        obs = np.random.default_rng(0).standard_normal(OBS_DIM)
+        action = agent.act(obs, deterministic=True)["action"]
+        assert action.shape == (1, 2)
+        assert np.array_equal(action, agent.act(obs[None], deterministic=True)["action"])
 
 
 class TestUpdateMachinery:

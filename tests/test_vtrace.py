@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.airdrop  # noqa: F401
+from repro.airdrop import OBS_DIM
 from repro.frameworks import ImpalaLike, TrainSpec, get_framework
 from repro.rl import VTraceAgent, VTraceConfig, compute_gae, vtrace_returns
 
@@ -112,6 +112,17 @@ class TestVTraceAgent:
                          rng.standard_normal((N, 2)))
         test_actions = agent.act(rng.standard_normal((100, 2)), deterministic=True)["action"]
         assert np.mean(np.abs(test_actions)) < 0.15
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 30])
+    def test_deterministic_row_equals_single_row(self, n):
+        """IMPALA's evaluation relies on row-wise deterministic acting."""
+        agent = VTraceAgent(OBS_DIM, 1, seed=n)
+        obs = 3.0 * np.random.default_rng(n).standard_normal((n, OBS_DIM))
+        out = agent.act(obs, deterministic=True)
+        assert set(out) == {"action"}
+        for i in range(n):
+            single = agent.act(obs[i : i + 1], deterministic=True)["action"]
+            assert np.array_equal(out["action"][i], single[0])
 
     def test_policy_state_roundtrip(self):
         a = VTraceAgent(3, 1, seed=0)
