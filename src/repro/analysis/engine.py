@@ -329,18 +329,6 @@ class LintEngine:
         findings.sort(key=Finding.sort_key)
         return LintReport(findings=_dedupe(findings), n_files=n_files)
 
-    def check_file(self, path: str | os.PathLike[str]) -> list[Finding]:
-        """Per-file findings (suppressed marked, not dropped) for one file."""
-        ctx, findings = self._parse_file(path)
-        if ctx is None:
-            return findings
-        for rule in self.rules:
-            if not self._selected(rule.rule_id) or not rule.applies(ctx):
-                continue
-            for finding in rule.check(ctx):
-                findings.append(_apply_suppression(ctx, finding))
-        return findings
-
     def _parse_file(
         self, path: str | os.PathLike[str]
     ) -> tuple[FileContext | None, list[Finding]]:

@@ -1,7 +1,7 @@
 """Contract rules RPR101–RPR106: cross-file schema drift as lint errors.
 
 The repo's durable artefacts — the campaign journal header, trial cache
-keys, serialized trial rows, benchmark recordings, the CLI surface — are
+keys, serialized trial rows, benchmark result lines, the CLI surface — are
 each defined in one module and *consumed* in another. Drift between the
 two (a dataclass grows a field its serializer never writes, a journal
 identity field the campaign stops providing) surfaces today as a
@@ -316,48 +316,55 @@ class TrialSerializationContract(ProjectRule):
 
 
 class BenchSchemaContract(ProjectRule):
-    """RPR104: the bench gate only reads fields the recorder writes."""
+    """RPR104: the A/B bench gate only reads result fields perfbench writes."""
 
     rule_id = "RPR104"
-    title = "benchmark recording schema drift"
+    title = "benchmark result schema drift"
     rationale = (
-        "compare() crashing on a missing field turns every CI bench gate "
-        "red for the wrong reason; the schema must stay two-sided"
+        "the A/B gate crashing on a missing result field turns every CI "
+        "bench gate red for the wrong reason; the schema must stay two-sided"
     )
 
-    def __init__(self, record_path: str = "benchmarks/record.py") -> None:
-        self.record_path = record_path
+    def __init__(
+        self,
+        run_path: str = "perfbench/run.py",
+        gate_path: str = "benchmarks/ab.py",
+    ) -> None:
+        self.run_path = run_path
+        self.gate_path = gate_path
 
     def check_project(self, repo_root: Path) -> Iterator[Finding]:
-        module = self._load(repo_root, self.record_path)
-        if module is None:
+        runner = self._load(repo_root, self.run_path)
+        gate = self._load(repo_root, self.gate_path)
+        if runner is None or gate is None:
             return
-        record_fn = _find_func(module.tree, "record")
-        compare_fn = _find_func(module.tree, "compare")
-        if record_fn is None or compare_fn is None:
+        run_one = _find_func(runner.tree, "run_one")
+        if run_one is None:
             return
-        payload: ast.Dict | None = None
-        for node in ast.walk(record_fn):
+        # every result line run_one prints: json.dumps({...})
+        lines: list[ast.Dict] = []
+        for node in ast.walk(run_one):
             if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Dict)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "payload"
-                    for t in node.targets
-                )
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dumps"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.args
+                and isinstance(node.args[0], ast.Dict)
             ):
-                payload = node.value
-        if payload is None:
+                lines.append(node.args[0])
+        if not lines:
             return
-        written = _dict_literal_keys(payload)
-        read = _consumed_keys(compare_fn, {"baseline", "candidate"})
-        phantom = sorted(read - written)
+        written = set.intersection(*(_dict_literal_keys(line) for line in lines))
+        phantom = sorted(_consumed_keys(gate.tree, {"result"}) - written)
         if phantom:
             yield self.finding(
-                module,
-                compare_fn.lineno,
-                f"compare() reads recording fields {phantom} that record() "
-                "never writes — the gate would fail on every fresh recording",
+                runner,
+                min(line.lineno for line in lines),
+                f"{self.gate_path} reads result fields {phantom} that the "
+                "result line of run_one() does not always write — the gate "
+                "would fail on every run",
             )
 
 

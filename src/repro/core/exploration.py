@@ -51,10 +51,6 @@ class Explorer:
     def clear_pending(self, config: Configuration) -> None:
         """Forget a :meth:`mark_pending` (result arrived or was abandoned)."""
 
-    @property
-    def n_asked(self) -> int:
-        return self._asked
-
     def _next_id(self) -> int:
         self._asked += 1
         return self._asked

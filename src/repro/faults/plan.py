@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -459,10 +458,3 @@ class FaultPlan:
             lines.append("  (empty plan: fault path disabled, results byte-identical "
                          "to a fault-free run)")
         return "\n".join(lines)
-
-    @staticmethod
-    def restart_of(crash: NodeCrash) -> float | None:
-        """Absolute restart time of ``crash``, or None when it never restarts."""
-        if crash.restart_after is None or math.isinf(crash.down_until):
-            return None
-        return crash.down_until

@@ -343,6 +343,12 @@ class RemoteExecutor(Executor):
                 worker.sock.close()
             except OSError:  # pragma: no cover - close on a dead socket
                 pass
+        # shutdown() wakes the blocked accept() at once; close() alone
+        # leaves it asleep until its timeout tick
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # pragma: no cover - platforms that refuse it
+            pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - double close
@@ -354,9 +360,11 @@ class RemoteExecutor(Executor):
 
     # ----------------------------------------------------------- accepting
     def _accept_loop(self) -> None:
+        # shutdown() wakes accept(); the tick only bounds the wait where
+        # shutting a listening socket down does not wake it
+        self._listener.settimeout(1.0)
         while not self._closing:
             try:
-                self._listener.settimeout(1.0)
                 sock, addr = self._listener.accept()
             except socket.timeout:
                 continue

@@ -159,16 +159,10 @@ class JsonlSink(Sink):
         # long-lived sink handle, closed in close(); a with-block would
         # force re-opening the file once per emitted record
         self._handle = open(path, mode, encoding="utf-8")  # noqa: SIM115
-        self._n_emitted = 0
 
     def emit(self, record: dict[str, Any]) -> None:
         self._handle.write(json.dumps(record, default=_json_default))
         self._handle.write("\n")
-        self._n_emitted += 1
-
-    @property
-    def n_emitted(self) -> int:
-        return self._n_emitted
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -348,6 +348,19 @@ class TestHandshake:
         with pytest.raises(RuntimeError, match="shut down"):
             executor.submit(task)
 
+    def test_shutdown_wakes_the_accept_loop(self):
+        # the accept loop sleeps in accept() with a 1 s tick; shutdown()
+        # must wake it instead of waiting the tick out
+        durations = []
+        for _ in range(5):
+            executor = RemoteExecutor(max_workers=1)
+            time.sleep(0.05)  # let the accept thread block in accept()
+            started = time.perf_counter()
+            executor.shutdown()
+            durations.append(time.perf_counter() - started)
+            assert not executor._accept_thread.is_alive()
+        assert sorted(durations)[2] < 0.3, durations
+
 
 # ----------------------------------------------------------- authentication
 class TestAuthentication:

@@ -424,23 +424,28 @@ class TestDrainRestart:
         finally:
             server2.drain(grace_s=10.0)
 
-    def test_interrupted_stream_ends_with_interrupted_record(self, tmp_path):
+    def test_interrupted_stream_ends_with_interrupted_record(self, tmp_path, monkeypatch):
         """The trial stream terminates (no forever-park) across a drain."""
+        # hold the campaign at its first commit until the drain trips the
+        # stop flag, so the drain provably lands mid-campaign however fast
+        # or slow the trials run
+        first_commit = threading.Event()
+        append_trial = Job.append_trial
+
+        def gated(job: Job, row: dict) -> None:
+            append_trial(job, row)
+            first_commit.set()
+            job._stop.wait(timeout=60.0)
+
+        monkeypatch.setattr(Job, "append_trial", gated)
         state = str(tmp_path / "state")
         service = CampaignService(state, max_concurrent=1)
         server = CampaignServer(service, port=0)
         server.start()
         port = server.address[1]
-        status, posted = request(
-            port,
-            "POST",
-            "/campaigns",
-            None,
-            {"explorer": "table1", "steps": 2000, "cache": False},
-        )
+        status, posted = request(port, "POST", "/campaigns", None, {**FAST_SPEC, "trials": 3})
         assert status == 202
-        job = service.job_for(OPEN_TENANT, posted["id"])
-        wait_until(lambda: job.n_trials_done >= 1, message="no trial committed")
+        assert first_commit.wait(timeout=60.0), "no trial committed"
 
         # establish the stream (headers received) BEFORE draining, so the
         # handler is provably mid-stream when the checkpoint lands
